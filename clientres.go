@@ -67,9 +67,9 @@ type Config struct {
 	// and scan their content for library signatures, recovering bundled
 	// libraries. Plain pages detect identically with it on or off.
 	BundleScan bool
-	// Shards parallelizes the analysis pipeline across domain-hash
-	// partitions (default 1 = serial). Sharded runs produce byte-identical
-	// reports to serial runs of the same configuration.
+	// Shards is the number of domain-hash partitions the analysis pipeline
+	// folds in parallel (default 1, the serial run). The report is
+	// byte-identical at every shard count.
 	Shards int
 	// StorePath, when set, persists observations as gzip JSONL — or, with
 	// StoreSegments > 1, as a segmented store directory (per-partition

@@ -80,12 +80,12 @@ type Config struct {
 	ChaosRate float64
 	// ChaosSeed selects the fault schedule.
 	ChaosSeed int64
-	// Shards parallelizes the analysis pipeline (default 1 = serial).
-	// Observations are partitioned across shards by domain hash; each
-	// shard folds its partition into a private collector set, merged
-	// after collection. A sharded run produces byte-identical report
-	// output to a serial run of the same configuration (proven by the
-	// shard equivalence tests).
+	// Shards is the number of domain-hash partitions the analysis pipeline
+	// folds in parallel (default 1). Each shard folds its partition into a
+	// private collector set on its own goroutine, merged after collection;
+	// one shard is the serial run through the same loop. The report is
+	// byte-identical at every shard count (proven by the shard equivalence
+	// tests and the report-digest pins).
 	Shards int
 	// StorePath, when set, persists every observation to a gzip JSONL
 	// file — or, with StoreSegments > 1, to a segmented store directory.
@@ -407,39 +407,12 @@ func replayCommitted(cfg Config, runners []*analysis.Runner) error {
 	return nil
 }
 
-// collectDirect streams ground-truth observations, weeks ascending. With
-// Shards > 1 the sites are partitioned by domain hash and each shard folds
-// its partition into a private collector set on its own goroutine, with a
-// barrier per week; the shards merge into res afterwards.
+// collectDirect streams ground-truth observations, weeks ascending. The
+// sites are partitioned by domain hash into cfg.Shards shards; each shard
+// folds its partition into a private collector set on its own goroutine,
+// with a barrier per week, and the shards merge into res afterwards. One
+// shard is the serial run: one goroutine, one collector set.
 func collectDirect(ctx context.Context, cfg Config, eco *webgen.Ecosystem, res *Results, writer store.Sink) error {
-	if cfg.Shards == 1 {
-		runner := res.runner()
-		if cfg.resuming {
-			if err := replayCommitted(cfg, []*analysis.Runner{runner}); err != nil {
-				return err
-			}
-		}
-		for w := cfg.startWeek; w < cfg.Weeks; w++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for i := range eco.Sites {
-				obs := analysis.ObservationFromTruth(eco.Sites[i].Domain, eco.Truth(i, w))
-				runner.Observe(obs)
-				if writer != nil {
-					if err := writer.Write(obs); err != nil {
-						return err
-					}
-				}
-			}
-			cfg.Progress("week %3d/%d collected (direct)", w+1, cfg.Weeks)
-			if err := commitWeek(cfg, writer, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	parts := make([][]int, cfg.Shards)
 	for i := range eco.Sites {
 		s := shardOf(eco.Sites[i].Domain.Name, cfg.Shards)
@@ -497,11 +470,14 @@ func collectDirect(ctx context.Context, cfg Config, eco *webgen.Ecosystem, res *
 	return nil
 }
 
-// crawlObservation reduces one crawled page to an Observation, running the
-// fingerprint engine on usable bodies. memo, when non-nil, short-circuits
-// unchanged page bodies to their cached Detection; it must be private to
-// the calling goroutine (one memo per shard).
-func crawlObservation(byName map[string]alexa.Domain, memo *fingerprint.Memo, p crawler.Page) store.Observation {
+// ObservationFromPage reduces one crawled page to a store Observation,
+// running the fingerprint engine on usable bodies. It is the one reduction
+// every crawl loop applies, in-process or on a distributed worker, which is
+// what keeps their reports byte-identical. memo may be nil (no caching);
+// when non-nil it short-circuits unchanged page bodies to their cached
+// Detection and must be private to the calling goroutine (one memo per
+// shard).
+func ObservationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo, p crawler.Page) store.Observation {
 	dom := byName[p.Domain]
 	var det fingerprint.Detection
 	status := p.Status
@@ -522,10 +498,11 @@ func crawlObservation(byName map[string]alexa.Domain, memo *fingerprint.Memo, p 
 }
 
 // collectByCrawl serves the ecosystem on a loopback listener, crawls every
-// week, and fingerprints the fetched pages. With Shards > 1 the pages fan
-// out by domain hash to per-shard analysis workers, so fingerprinting and
+// week, and fingerprints the fetched pages. The pages fan out by domain
+// hash to cfg.Shards per-shard analysis workers, so fingerprinting and
 // collection run in parallel with the crawl; the per-shard collector sets
-// merge into res afterwards.
+// merge into res afterwards. One shard is the serial run: one analysis
+// worker behind one channel.
 //
 // With ReplayBundle no listener or web server exists at all: the crawler's
 // transport is the mounted bundle, and the base URL's host resolves
@@ -636,44 +613,6 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, res 
 		domains[i] = s.Domain.Name
 	}
 
-	if cfg.Shards == 1 {
-		runner := res.runner()
-		memo := cfg.memo()
-		if cfg.resuming {
-			if err := replayCommitted(cfg, []*analysis.Runner{runner}); err != nil {
-				return err
-			}
-		}
-		for w := cfg.startWeek; w < cfg.Weeks; w++ {
-			// CrawlWeek invokes the callback from a single goroutine (its
-			// documented contract, asserted by the crawler's contract
-			// tests), so the plain obsErr capture and the memo use are
-			// race-free by construction.
-			var obsErr error
-			err := cr.CrawlWeek(ctx, w, domains, func(p crawler.Page) {
-				obs := crawlObservation(byName, memo, p)
-				runner.Observe(obs)
-				if writer != nil && obsErr == nil {
-					obsErr = writer.Write(obs)
-				}
-			})
-			if err != nil {
-				return err
-			}
-			if obsErr != nil {
-				return obsErr
-			}
-			cfg.Progress("week %3d/%d crawled", w+1, cfg.Weeks)
-			if err := commitBundleWeek(cfg, bw, w); err != nil {
-				return err
-			}
-			if err := commitWeek(cfg, writer, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	shardRes := make([]*Results, cfg.Shards)
 	runners := make([]*analysis.Runner, cfg.Shards)
 	for s := range shardRes {
@@ -709,7 +648,7 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, res 
 			memo := cfg.memo()
 			for p := range chans[s] {
 				if errs[s] == nil {
-					obs := crawlObservation(byName, memo, p)
+					obs := ObservationFromPage(byName, memo, p)
 					runner.Observe(obs)
 					if write != nil {
 						if err := write(obs); err != nil {
@@ -777,160 +716,73 @@ func collectByCrawl(ctx context.Context, cfg Config, eco *webgen.Ecosystem, res 
 // RunFromStore replays a stored observation dataset through the analyses
 // (Findings still come from the PoC lab, which is dataset-independent).
 // The path may be a single gzip JSONL file or a segmented store directory
-// (see store.CreateSegmented); both formats are read transparently and
-// replay to byte-identical reports. With shards > 1 the observations fan
-// out by domain hash to per-shard collector sets, merged afterwards — the
-// stored per-domain week ordering is preserved inside each shard, so the
-// result is identical to a serial replay. When the store's segment count
-// equals the shard count the replay takes the aligned fast path: one
-// decoder goroutine per segment feeds its shard's collectors directly,
-// with no cross-goroutine handoff and pooled decode buffers.
+// (see store.CreateSegmented); a single file reads as a one-segment store,
+// and both layouts replay to byte-identical reports. The observations fold
+// into one collector set per shard, partitioned by domain hash and merged
+// afterwards — each domain's stored week order is preserved inside its
+// shard, so the result is independent of the shard count. Two shapes:
+//
+//   - segments == shards: segment partition and shard partition are the
+//     same FNV-1a domain hash, so segment s holds exactly shard s's
+//     domains. Each segment's decoder goroutine feeds its shard's
+//     collectors directly: no channels, and the decoder may reuse its
+//     buffers because collectors never retain them.
+//   - otherwise: each observation is routed to its shard's channel by
+//     domain hash (a channel send retains the observation, so this shape
+//     clones out of the decoder's reused buffers).
 func RunFromStore(path string, weeks, domains, shards int) (*Results, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	res := newResults(weeks, domains)
-	var err error
-	if store.IsSegmented(path) {
-		err = replaySegmented(path, weeks, domains, shards, res)
-	} else {
-		err = replayFile(path, weeks, domains, shards, res)
-	}
+	segments, err := store.Segments(path)
 	if err != nil {
 		return nil, err
 	}
-	res.Findings, err = poclab.RunAll()
-	return res, err
-}
-
-// replayFile replays a single-file store, fanning out to shard channels
-// from the one decoder goroutine the sequential gzip stream allows.
-func replayFile(path string, weeks, domains, shards int, res *Results) error {
-	if shards == 1 {
-		runner := res.runner()
-		return store.ForEach(path, func(obs store.Observation) error {
-			runner.Observe(obs)
-			return nil
-		})
-	}
 	shardRes := make([]*Results, shards)
-	chans := make([]chan store.Observation, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
+	runners := make([]*analysis.Runner, shards)
+	for s := range shardRes {
 		shardRes[s] = newResults(weeks, domains)
-		chans[s] = make(chan store.Observation, 256)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			runner := shardRes[s].runner()
-			for obs := range chans[s] {
-				runner.Observe(obs)
-			}
-		}(s)
+		runners[s] = shardRes[s].runner()
 	}
-	err := store.ForEach(path, func(obs store.Observation) error {
-		// The channel send retains obs past the callback, but every
-		// ForEach path reuses its decode buffers — hand over a clone.
-		chans[shardOf(obs.Domain, shards)] <- obs.Clone()
+	observe := func(seg int, obs store.Observation) error {
+		runners[seg].Observe(obs)
 		return nil
-	})
+	}
+	var chans []chan store.Observation
+	var wg sync.WaitGroup
+	if segments != shards {
+		chans = make([]chan store.Observation, shards)
+		for s := range chans {
+			// The buffer lets the decoders run ahead of a briefly busy
+			// collector instead of blocking on every send.
+			chans[s] = make(chan store.Observation, 256)
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for obs := range chans[s] {
+					runners[s].Observe(obs)
+				}
+			}(s)
+		}
+		observe = func(_ int, obs store.Observation) error {
+			chans[shardOf(obs.Domain, shards)] <- obs.Clone()
+			return nil
+		}
+	}
+	err = store.ForEachParallel(path, observe)
 	for _, c := range chans {
 		close(c)
 	}
 	wg.Wait()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	res := newResults(weeks, domains)
 	for _, sr := range shardRes {
 		res.Merge(sr)
 	}
-	return nil
-}
-
-// replaySegmented replays a segmented store. Three shapes:
-//
-//   - shards == 1: segments decoded sequentially into one collector set
-//     (per-domain week order holds inside each segment, which is all the
-//     collectors need — whole-stream order is irrelevant to the report).
-//   - shards == segment count: the aligned fast path. Segment partition
-//     and shard partition are the same FNV-1a domain hash, so segment s
-//     holds exactly shard s's domains; each segment's decoder goroutine
-//     feeds its shard's collectors directly. No channels, and the decoder
-//     may reuse its Libs buffers because collectors never retain them.
-//   - otherwise: segments still decode concurrently, re-routing each
-//     observation to its shard channel by domain hash (a channel send
-//     retains the observation, so this path clones out of the decoder's
-//     reused buffers).
-func replaySegmented(dir string, weeks, domains, shards int, res *Results) error {
-	man, err := store.ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	if shards == 1 {
-		runner := res.runner()
-		return store.ForEachSegmented(dir, func(obs store.Observation) error {
-			runner.Observe(obs)
-			return nil
-		})
-	}
-	shardRes := make([]*Results, shards)
-	for s := range shardRes {
-		shardRes[s] = newResults(weeks, domains)
-	}
-	if man.Segments == shards {
-		runners := make([]*analysis.Runner, shards)
-		for s := range runners {
-			runners[s] = shardRes[s].runner()
-		}
-		if err := store.ForEachSegmentedParallel(dir, func(seg int, obs store.Observation) error {
-			runners[seg].Observe(obs)
-			return nil
-		}); err != nil {
-			return err
-		}
-	} else {
-		chans := make([]chan store.Observation, shards)
-		var collectWG sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			chans[s] = make(chan store.Observation, 256)
-			collectWG.Add(1)
-			go func(s int) {
-				defer collectWG.Done()
-				runner := shardRes[s].runner()
-				for obs := range chans[s] {
-					runner.Observe(obs)
-				}
-			}(s)
-		}
-		errs := make([]error, man.Segments)
-		var readWG sync.WaitGroup
-		for seg := 0; seg < man.Segments; seg++ {
-			readWG.Add(1)
-			go func(seg int) {
-				defer readWG.Done()
-				errs[seg] = store.ForEachSegment(dir, seg, func(obs store.Observation) error {
-					// Channel sends retain obs past the callback; the
-					// pooled decoder reuses its buffers, so clone.
-					chans[shardOf(obs.Domain, shards)] <- obs.Clone()
-					return nil
-				})
-			}(seg)
-		}
-		readWG.Wait()
-		for _, c := range chans {
-			close(c)
-		}
-		collectWG.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-	}
-	for _, sr := range shardRes {
-		res.Merge(sr)
-	}
-	return nil
+	res.Findings, err = poclab.RunAll()
+	return res, err
 }
 
 // WriteReport renders every table and figure of the paper plus the headline

@@ -24,22 +24,10 @@ import (
 	"sort"
 	"sync"
 
-	"clientres/internal/alexa"
 	"clientres/internal/analysis"
-	"clientres/internal/crawler"
-	"clientres/internal/fingerprint"
 	"clientres/internal/poclab"
 	"clientres/internal/store"
 )
-
-// ObservationFromPage reduces one crawled page to a store Observation,
-// fingerprinting usable bodies — the exact reduction core's own crawl
-// paths apply, exported so distributed workers observe byte-identically
-// to an in-process crawl. memo may be nil (no caching); when non-nil it
-// must be private to the calling goroutine.
-func ObservationFromPage(byName map[string]alexa.Domain, memo *fingerprint.Memo, p crawler.Page) store.Observation {
-	return crawlObservation(byName, memo, p)
-}
 
 // ReplaySpan identifies one worker generation store and the committed
 // week range [FromWeek, ToWeek) it contributes to the merged dataset.

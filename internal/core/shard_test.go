@@ -88,9 +88,9 @@ func TestShardedStoreRoundTrip(t *testing.T) {
 // TestSegmentedStoreByteIdenticalReports is the tentpole equivalence
 // test: a segmented store must replay to a byte-identical report versus
 // the single-file store of the same run, at every segment count, and at
-// replay shard counts that hit all three replay shapes — serial, the
-// aligned one-decoder-per-segment fast path (shards == segments), and
-// the misaligned re-routing path (shards != segments).
+// replay shard counts that hit both replay shapes — the aligned
+// one-decoder-per-segment path (shards == segments) and the re-routing
+// path (shards != segments).
 func TestSegmentedStoreByteIdenticalReports(t *testing.T) {
 	dir := t.TempDir()
 	base := Config{Domains: 180, Weeks: 12, Seed: 21, SkipPoC: true}
@@ -195,13 +195,20 @@ func TestCrawlMemoByteIdenticalReport(t *testing.T) {
 
 // TestRunReportsWriterCloseError is the regression test for the dropped
 // Writer.Close error: the store writer buffers 64 KiB and gzips, so on a
-// full disk the data loss only surfaces at Close — Run must return it.
+// full disk the data loss only surfaces at Close — Run must return it, on
+// the direct and the crawl loop, at one shard and at several.
 func TestRunReportsWriterCloseError(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("/dev/full not available")
 	}
-	cfg := Config{Domains: 30, Weeks: 3, Seed: 1, SkipPoC: true, StorePath: "/dev/full"}
-	if _, err := Run(context.Background(), cfg); err == nil {
-		t.Error("Run with an unflushable store must report the close error")
+	for _, mode := range []Mode{ModeDirect, ModeCrawl} {
+		for _, shards := range []int{1, 3} {
+			cfg := Config{Domains: 30, Weeks: 3, Seed: 1, SkipPoC: true, StorePath: "/dev/full",
+				Mode: mode, Workers: 16, Shards: shards}
+			if _, err := Run(context.Background(), cfg); err == nil {
+				t.Errorf("mode=%d shards=%d: Run with an unflushable store must report the close error",
+					mode, shards)
+			}
+		}
 	}
 }

@@ -510,6 +510,31 @@ func ForEachSegmented(dir string, fn func(Observation) error) error {
 	return nil
 }
 
+// Segments returns the number of independently decodable segments of the
+// store at path: the manifest's count for a segmented store directory, 1
+// for anything else. A single file is a one-segment store whose segment 0
+// is the file itself, sniffed for its record format as ForEach does.
+func Segments(path string) (int, error) {
+	if !IsSegmented(path) {
+		return 1, nil
+	}
+	man, err := ReadManifest(path)
+	if err != nil {
+		return 0, err
+	}
+	return man.Segments, nil
+}
+
+// ForEachParallel is ForEachSegmentedParallel over either store layout: a
+// segmented store directory decodes one goroutine per segment, and a
+// single file decodes as segment 0 on the calling goroutine.
+func ForEachParallel(path string, fn func(seg int, obs Observation) error) error {
+	if !IsSegmented(path) {
+		return forEachFile(path, func(obs Observation) error { return fn(0, obs) })
+	}
+	return ForEachSegmentedParallel(path, fn)
+}
+
 // ForEachSegmentedParallel decodes every segment of a segmented store
 // concurrently, one decoder goroutine per segment, calling fn(seg, obs)
 // from that segment's goroutine. fn is therefore called concurrently
