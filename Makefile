@@ -51,9 +51,7 @@ bench-bundle:
 check:
 	FUZZTIME=$(FUZZTIME) sh scripts/check.sh
 
+# fuzz-smoke runs every fuzz target for FUZZTIME each (3s by default; the
+# target list lives in scripts/fuzz_smoke.sh).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 3s ./internal/htmlx
-	$(GO) test -run '^$$' -fuzz '^FuzzParseVersion$$' -fuzztime 3s ./internal/semver
-	$(GO) test -run '^$$' -fuzz '^FuzzRange$$' -fuzztime 3s ./internal/semver
-	$(GO) test -run '^$$' -fuzz '^FuzzAuditHandler$$' -fuzztime 3s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzSignatureScan$$' -fuzztime 3s ./internal/fingerprint
+	FUZZTIME=$(FUZZTIME) sh scripts/fuzz_smoke.sh

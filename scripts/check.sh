@@ -15,15 +15,13 @@ go build ./...
 echo "==> go test -race"
 go test -race ./...
 
-# Budgeted fuzz smoke runs: a few seconds each, enough to catch shallow
-# regressions on every change without turning CI into a fuzzing farm.
-FUZZTIME="${FUZZTIME:-3s}"
-echo "==> fuzz smoke (${FUZZTIME} per target)"
-go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime "$FUZZTIME" ./internal/htmlx
-go test -run '^$' -fuzz '^FuzzParseVersion$' -fuzztime "$FUZZTIME" ./internal/semver
-go test -run '^$' -fuzz '^FuzzRange$' -fuzztime "$FUZZTIME" ./internal/semver
-go test -run '^$' -fuzz '^FuzzAuditHandler$' -fuzztime "$FUZZTIME" ./internal/service
-go test -run '^$' -fuzz '^FuzzSignatureScan$' -fuzztime "$FUZZTIME" ./internal/fingerprint
+# The benchmark harness is its own module, which the root ./... never
+# reaches.
+echo "==> perfbench: go vet + go test"
+(cd perfbench && go vet ./... && go test ./...)
+
+# Budgeted fuzz smoke runs of every fuzz target (FUZZTIME each).
+sh scripts/fuzz_smoke.sh
 
 # One-iteration bench smoke of the store/fingerprint/serve perf ablations:
 # not a measurement, just proof the benchmarks still build, run, and verify
