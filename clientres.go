@@ -71,12 +71,12 @@ type Config struct {
 	// folds in parallel (default 1, the serial run). The report is
 	// byte-identical at every shard count.
 	Shards int
-	// StorePath, when set, persists observations as gzip JSONL — or, with
+	// StorePath, when set, persists observations as a v3 gzip file — or, with
 	// StoreSegments > 1, as a segmented store directory (per-partition
 	// segment files plus a manifest) whose writes and replays parallelize.
 	StorePath string
 	// StoreSegments selects the segmented store layout (0 or 1 keeps the
-	// single gzip JSONL file). Both layouts replay to byte-identical
+	// single v3 gzip file). Both layouts replay to byte-identical
 	// reports; segment partition matches the Shards partition, so a
 	// replay with shards == segments decodes every segment concurrently
 	// straight into its shard's collectors.

@@ -39,7 +39,7 @@ func main() {
 	shards := flag.Int("shards", 1, "parallel fingerprint/analysis shards (results identical to -shards 1)")
 	segments := flag.Int("segments", 1, "store segments; >1 writes a segmented store directory (reads identical to a single file)")
 	fpcache := flag.Int("fpcache", 0, "per-shard fingerprint memo entries (0 = default, negative = disable)")
-	out := flag.String("out", "crawl.jsonl.gz", "output path (gzip JSONL file, or a directory with -segments > 1)")
+	out := flag.String("out", "crawl.jsonl.gz", "output path (v3 gzip file, or a directory with -segments > 1)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	politeness := flag.Bool("politeness", false, "enable the per-host resilience layer: politeness limiter, circuit breaker, weekly retry budget (reports are identical either way)")

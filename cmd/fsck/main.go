@@ -108,14 +108,12 @@ func formatName(v int) string {
 	switch v {
 	case store.FormatPlain:
 		return "format v1 (plain JSONL)"
-	case store.FormatFramed:
-		return "format v2 (framed records)"
 	case store.FormatDelta:
 		return "format v3 (delta streams)"
 	case store.FormatBundle:
 		return "format v4 (web-execution bundle)"
 	case 0:
-		return "format unknown (empty)"
+		return "format unknown (empty or unreadable)"
 	default:
 		return fmt.Sprintf("format v%d (unrecognized)", v)
 	}

@@ -1,6 +1,6 @@
 // Command gendata generates a synthetic-web observation dataset — the
 // offline stand-in for the paper's four-year Alexa-1M crawl — and writes it
-// as gzip JSONL for cmd/analyze.
+// as a v3 store for cmd/analyze.
 //
 // Usage:
 //
@@ -23,7 +23,7 @@ func main() {
 	domains := flag.Int("domains", 20000, "number of ranked domains to model")
 	weeks := flag.Int("weeks", webgen.StudyWeeks, "number of weekly snapshots")
 	seed := flag.Int64("seed", 1, "generation seed")
-	out := flag.String("out", "observations.jsonl.gz", "output path (gzip JSONL file, or a directory with -segments > 1)")
+	out := flag.String("out", "observations.jsonl.gz", "output path (v3 gzip file, or a directory with -segments > 1)")
 	segments := flag.Int("segments", 1, "store segments; >1 writes a segmented store directory (reads identical to a single file)")
 	bundleFrac := flag.Float64("bundle-frac", 0, "fraction of eligible generated sites that ship their libraries as one bundled script (0 disables)")
 	quiet := flag.Bool("quiet", false, "suppress progress output")

@@ -87,8 +87,8 @@ type Config struct {
 	// byte-identical at every shard count (proven by the shard equivalence
 	// tests and the report-digest pins).
 	Shards int
-	// StorePath, when set, persists every observation to a gzip JSONL
-	// file — or, with StoreSegments > 1, to a segmented store directory.
+	// StorePath, when set, persists every observation to a v3 gzip file
+	// — or, with StoreSegments > 1, to a segmented store directory.
 	StorePath string
 	// StoreSegments selects the segmented store layout: StorePath becomes
 	// a directory of StoreSegments per-partition gzip JSONL files plus a
@@ -321,11 +321,7 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 			// reading as incomplete, and the last checkpoint (if any) stays
 			// authoritative for salvage and resume. Abort is the deliberate
 			// crash: close without flushing, losing only uncommitted state.
-			if ab, ok := writer.(interface{ Abort() error }); ok {
-				_ = ab.Abort()
-			} else {
-				_ = writer.Close()
-			}
+			_ = writer.Abort()
 		} else if cerr := writer.Close(); cerr != nil {
 			// A failed close loses the gzip footer — and with it data the
 			// readers can never recover; never swallow it.

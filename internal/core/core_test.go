@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -109,6 +110,30 @@ func TestRunContextCancel(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, Config{Domains: 50, Weeks: 5, Seed: 1, SkipPoC: true}); err == nil {
 		t.Error("cancelled context should error")
+	}
+}
+
+// TestCancelledSingleFileRunUnreadable: a single-file run that fails
+// midway must abort its writer, not seal it. Reading the file back must
+// error rather than return the weeks collected so far as a whole store.
+func TestCancelledSingleFileRunUnreadable(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	path := filepath.Join(t.TempDir(), "obs.jsonl.gz")
+	weeks := 0
+	_, err := Run(ctx, Config{Domains: 30, Weeks: 6, Seed: 5, SkipPoC: true, StorePath: path,
+		Progress: func(format string, _ ...any) {
+			if strings.Contains(format, "collected") {
+				if weeks++; weeks == 3 {
+					cancel()
+				}
+			}
+		}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run cancelled after week 3: %v", err)
+	}
+	if obs, err := store.ReadAll(path); err == nil {
+		t.Fatalf("aborted single-file store read back as complete: %d observations", len(obs))
 	}
 }
 

@@ -175,6 +175,12 @@ func TestDistributedByteIdenticalWithKills(t *testing.T) {
 				return nil
 			}
 
+			// The victim starts alone and the others only once it is
+			// crawling: with more workers than partitions, a victim that
+			// registered last could otherwise hold no lease at all, and
+			// the injection would never fire.
+			var leasedOnce sync.Once
+			leased := make(chan struct{})
 			errs := make([]chan error, nw)
 			for i := 0; i < nw; i++ {
 				w := &Worker{
@@ -185,7 +191,10 @@ func TestDistributedByteIdenticalWithKills(t *testing.T) {
 				}
 				wctx := ctx
 				if i == 0 {
-					w.OnWeek = victimHook
+					w.OnWeek = func(partition, week int) error {
+						leasedOnce.Do(func() { close(leased) })
+						return victimHook(partition, week)
+					}
 					if nw > 1 {
 						wctx = victimCtx
 					}
@@ -193,6 +202,13 @@ func TestDistributedByteIdenticalWithKills(t *testing.T) {
 				ch := make(chan error, 1)
 				errs[i] = ch
 				go func() { ch <- w.Run(wctx) }()
+				if i == 0 {
+					select {
+					case <-leased:
+					case <-time.After(60 * time.Second):
+						t.Fatal("victim never started crawling")
+					}
+				}
 			}
 
 			// Let the run proceed deterministically until the injection,

@@ -72,9 +72,9 @@ var ErrFenced = errors.New("store: fenced: a newer epoch owns this store's check
 type Checkpoint struct {
 	Version int `json:"version"`
 	// Format is the record format the segments are encoded in
-	// (FormatFramed or FormatDelta); journals written before the field
-	// existed are framed, so zero normalizes to FormatFramed on read. A
-	// resume continues in the journal's format.
+	// (FormatDelta or FormatBundle). A resume continues in the journal's
+	// format. Journals written before the field existed are retired v2
+	// ones, so ReadCheckpoint refuses a zero Format.
 	Format int `json:"format,omitempty"`
 	// CommittedWeeks counts fully committed weeks; the next week to
 	// collect is week CommittedWeeks (0-based).
@@ -132,10 +132,10 @@ func ReadCheckpoint(dir string) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("store: %s: checkpoint totals inconsistent (%d declared, %d summed)",
 			dir, ck.Total, total)
 	}
-	if ck.Format == 0 {
-		ck.Format = FormatFramed // journals predating the format field
+	if ck.Format == 0 || ck.Format == retiredV2 {
+		return Checkpoint{}, fmt.Errorf("store: %s: checkpoint of a v2 store: %w", dir, errRetired)
 	}
-	if ck.Format != FormatFramed && ck.Format != FormatDelta && ck.Format != FormatBundle {
+	if ck.Format != FormatDelta && ck.Format != FormatBundle {
 		return Checkpoint{}, fmt.Errorf("store: %s: checkpoint format %d not supported", dir, ck.Format)
 	}
 	if formatHasMembers(ck.Format) {

@@ -31,8 +31,9 @@ import (
 	"io"
 )
 
-// v3 record marks. JSON observations start with '{' and v2 frames with
-// '#', so the first decompressed byte still identifies the format.
+// v3 record marks. v1 JSON observations start with '{' and retired v2
+// frames with '#', so the first decompressed byte still identifies the
+// format.
 const (
 	fullMark  = '='
 	sameMark  = '~'

@@ -2,8 +2,8 @@ package store
 
 // Tests for the v3 delta segment format: round-trip fidelity on both
 // churny and longitudinal data, the inline fast-path fallbacks, member
-// checksum integrity, format stickiness across resume, and the size win
-// over v1/v2 that motivates the format.
+// checksum integrity, and the size win over v1/v2 that motivates the
+// format.
 
 import (
 	"math/rand"
@@ -95,7 +95,7 @@ func TestDeltaRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if man.Version != ManifestVersionDelta || len(man.Members) != segments {
+			if man.Version != FormatDelta || len(man.Members) != segments {
 				t.Fatalf("%s segments=%d: manifest %+v", shape, segments, man)
 			}
 			for i := 0; i < segments; i++ {
@@ -268,78 +268,6 @@ func TestDeltaMemberChecksumDetectsBitFlip(t *testing.T) {
 	}
 }
 
-// TestFramedResumeStaysFramed: resuming a v2 store must keep writing v2 —
-// the journal's format is authoritative, not the v3 default — and the
-// finished archive must verify as a framed manifest.
-func TestFramedResumeStaysFramed(t *testing.T) {
-	obs := genObs(9, 4)
-	weeks := byWeek(obs, 4)
-	run := RunID{Seed: 8, Domains: 9, Weeks: 4}
-	dir := filepath.Join(t.TempDir(), "store")
-	opt := SegmentedOptions{Checkpoint: true, Run: run, Format: FormatFramed}
-	w, err := CreateSegmentedWith(dir, 2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for wk := 0; wk < 2; wk++ {
-		for _, o := range weeks[wk] {
-			if err := w.Write(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.CommitWeek(wk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = w.Abort()
-
-	// Resume with default options: the journal, not the default, decides.
-	w2, ck, err := ResumeSegmented(dir, SegmentedOptions{Checkpoint: true, Run: run})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Format != FormatFramed {
-		t.Fatalf("resumed checkpoint format %d, want framed", ck.Format)
-	}
-	for wk := 2; wk < 4; wk++ {
-		for _, o := range weeks[wk] {
-			if err := w2.Write(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w2.CommitWeek(wk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	man, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Version != ManifestVersionFramed {
-		t.Fatalf("manifest version %d after framed resume, want %d", man.Version, ManifestVersionFramed)
-	}
-	for i := 0; i < 2; i++ {
-		if f, err := sniffFormat(SegmentPath(dir, i)); err != nil || f != FormatFramed {
-			t.Fatalf("segment %d: sniffed format %d, %v", i, f, err)
-		}
-	}
-	var got []Observation
-	if err := ForEachSegmented(dir, func(o Observation) error {
-		got = append(got, o.Clone())
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	checkSameByDomain(t, byDomain(obs), byDomain(got))
-	if _, err := Verify(dir); err != nil {
-		t.Fatalf("framed resumed archive fails verify: %v", err)
-	}
-}
-
 func dirSize(t *testing.T, dir string) int64 {
 	t.Helper()
 	var total int64
@@ -359,54 +287,24 @@ func dirSize(t *testing.T, dir string) int64 {
 
 // TestDeltaArchiveSmallerThanV1AndV2: on longitudinal data — the workload
 // the store exists for — the v3 archive must be smaller than both the v1
-// plain-JSONL archive and the v2 framed archive. This is the size
-// acceptance the format change is justified by.
+// plain-JSONL archive and the v2 framed archive (both built by this
+// package's reference encoders for formats it no longer writes). This is
+// the size acceptance the format change is justified by.
 func TestDeltaArchiveSmallerThanV1AndV2(t *testing.T) {
 	obs := genLongitudinal(200, 50, 42)
 	root := t.TempDir()
 
 	v1 := filepath.Join(root, "v1")
 	writeV1Store(t, v1, obs, 2)
-
-	sizes := map[int]int64{FormatPlain: dirSize(t, v1)}
-	for _, format := range []int{FormatFramed, FormatDelta} {
-		dir := filepath.Join(root, "v"+itoa(format))
-		w, err := CreateSegmentedWith(dir, 2, SegmentedOptions{Format: format})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range obs {
-			if err := w.Write(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		sizes[format] = dirSize(t, dir)
+	v2 := filepath.Join(root, "v2")
+	if err := os.MkdirAll(v2, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("archive bytes for %d obs: v1=%d v2=%d v3=%d",
-		len(obs), sizes[FormatPlain], sizes[FormatFramed], sizes[FormatDelta])
-	if sizes[FormatDelta] >= sizes[FormatPlain] {
-		t.Errorf("v3 archive (%d bytes) not smaller than v1 (%d bytes)",
-			sizes[FormatDelta], sizes[FormatPlain])
+	for s, seg := range splitBySegment(obs, 2) {
+		writeV2File(t, SegmentPath(v2, s), seg)
 	}
-	if sizes[FormatDelta] >= sizes[FormatFramed] {
-		t.Errorf("v3 archive (%d bytes) not smaller than v2 (%d bytes)",
-			sizes[FormatDelta], sizes[FormatFramed])
-	}
-}
-
-// TestMixedVersionReads: one observation set written as a v1 single file,
-// a v1 segmented dir, a v2 segmented dir, and a v3 segmented dir must read
-// back identically through the transparent entry points.
-func TestMixedVersionReads(t *testing.T) {
-	obs := genObs(14, 5)
-	wantBy := byDomain(obs)
-	root := t.TempDir()
-
-	single := filepath.Join(root, "single.jsonl.gz")
-	w, err := Create(single)
+	v3 := filepath.Join(root, "v3")
+	w, err := CreateSegmented(v3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,28 +316,59 @@ func TestMixedVersionReads(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	size1, size2, size3 := dirSize(t, v1), dirSize(t, v2), dirSize(t, v3)
+	t.Logf("archive bytes for %d obs: v1=%d v2=%d v3=%d", len(obs), size1, size2, size3)
+	if size3 >= size1 {
+		t.Errorf("v3 archive (%d bytes) not smaller than v1 (%d bytes)", size3, size1)
+	}
+	if size3 >= size2 {
+		t.Errorf("v3 archive (%d bytes) not smaller than v2 (%d bytes)", size3, size2)
+	}
+}
 
+// TestMixedVersionReads: one observation set written as a v1 single file,
+// a v1 segmented dir, a v3 single file, and a v3 segmented dir must read
+// back identically through the transparent entry points.
+func TestMixedVersionReads(t *testing.T) {
+	obs := genObs(14, 5)
+	wantBy := byDomain(obs)
+	root := t.TempDir()
+
+	v1file := filepath.Join(root, "v1.jsonl.gz")
+	writeV1File(t, v1file, obs)
 	v1dir := filepath.Join(root, "v1")
 	writeV1Store(t, v1dir, obs, 3)
-	dirs := map[string]string{"v1-file": single, "v1-dir": v1dir}
-	for _, format := range []int{FormatFramed, FormatDelta} {
-		dir := filepath.Join(root, "v"+itoa(format))
-		sw, err := CreateSegmentedWith(dir, 3, SegmentedOptions{Format: format})
-		if err != nil {
+
+	v3file := filepath.Join(root, "v3.jsonl.gz")
+	w, err := Create(v3file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3dir := filepath.Join(root, "v3")
+	sw, err := CreateSegmented(v3dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range obs {
+		if err := w.Write(o); err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range obs {
-			if err := sw.Write(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sw.Close(); err != nil {
+		if err := sw.Write(o); err != nil {
 			t.Fatal(err)
 		}
-		dirs["v"+itoa(format)+"-dir"] = dir
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := sniffFormat(v3file); err != nil || f != FormatDelta {
+		t.Fatalf("store.Create wrote format %d (%v), want v3", f, err)
 	}
 
-	for name, path := range dirs {
+	paths := map[string]string{"v1-file": v1file, "v1-dir": v1dir, "v3-file": v3file, "v3-dir": v3dir}
+	for name, path := range paths {
 		var got []Observation
 		if err := ForEach(path, func(o Observation) error {
 			got = append(got, o.Clone())

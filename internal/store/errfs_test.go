@@ -121,9 +121,9 @@ func byWeek(obs []Observation, weeks int) [][]Observation {
 // on fsys until a fault aborts it, simulating the crash with Abort (user-
 // space buffers lost, OS-reached bytes kept). It returns the number of
 // weeks whose CommitWeek succeeded.
-func runCheckpointedWrite(t *testing.T, dir string, fsys FS, weeks [][]Observation, segments int, run RunID, format int) (committed int) {
+func runCheckpointedWrite(t *testing.T, dir string, fsys FS, weeks [][]Observation, segments int, run RunID) (committed int) {
 	t.Helper()
-	w, err := CreateSegmentedWith(dir, segments, SegmentedOptions{Checkpoint: true, Run: run, FS: fsys, Format: format})
+	w, err := CreateSegmentedWith(dir, segments, SegmentedOptions{Checkpoint: true, Run: run, FS: fsys})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -196,56 +196,50 @@ func checkSalvagedState(t *testing.T, dir string, weeks [][]Observation, segment
 }
 
 // TestFaultScheduleCommitsOrSalvages sweeps the write fault across the
-// run — several byte budgets for clean ENOSPC and for torn short writes,
-// in both the framed (v2) and delta (v3) segment formats — and proves
-// every crash point leaves a store Salvage restores to all committed
-// weeks.
+// run — several byte budgets for clean ENOSPC and for torn short writes
+// of a v3 store — and proves every crash point leaves a store Salvage
+// restores to all committed weeks.
 func TestFaultScheduleCommitsOrSalvages(t *testing.T) {
 	const segments = 3
 	run := RunID{Seed: 77, Domains: 15, Weeks: 6}
 	weeks := byWeek(genObs(15, 6), 6)
 
-	for _, format := range []int{FormatFramed, FormatDelta} {
-		fmtTag := "v" + itoa(format)
-		// Measure the fault-free byte volume (format-dependent: v3 writes
-		// far fewer bytes) to place budgets meaningfully.
-		probe := &faultFS{budget: -1}
-		dir := filepath.Join(t.TempDir(), "probe-"+fmtTag)
-		if got := runCheckpointedWrite(t, dir, probe, weeks, segments, run, format); got != 6 {
-			t.Fatalf("%s: fault-free run committed %d weeks, want 6", fmtTag, got)
-		}
-		total := probe.wrote
-		if total == 0 {
-			t.Fatal("probe measured zero bytes")
-		}
+	// Measure the fault-free byte volume to place budgets meaningfully.
+	probe := &faultFS{budget: -1}
+	if got := runCheckpointedWrite(t, filepath.Join(t.TempDir(), "probe"), probe, weeks, segments, run); got != 6 {
+		t.Fatalf("fault-free run committed %d weeks, want 6", got)
+	}
+	total := probe.wrote
+	if total == 0 {
+		t.Fatal("probe measured zero bytes")
+	}
 
-		for _, shortWrite := range []bool{false, true} {
-			name := "enospc"
-			if shortWrite {
-				name = "short-write"
-			}
-			for _, frac := range []int{5, 25, 45, 65, 85, 99} {
-				budget := total * frac / 100
-				t.Run(fmtTag+"/"+name+"/"+itoa(frac)+"pct", func(t *testing.T) {
-					fsys := &faultFS{budget: budget, shortWrite: shortWrite}
-					dir := filepath.Join(t.TempDir(), "store")
-					// committed may reach 6 when the fault lands past the last
-					// CommitWeek (e.g. inside the manifest write): all weeks are
-					// then committed and salvage must restore the full archive.
-					committed := runCheckpointedWrite(t, dir, fsys, weeks, segments, run, format)
-					if !fsys.faulted {
-						t.Fatalf("budget %d of %d bytes did not fault", budget, total)
-					}
-					res, err := Salvage(dir)
-					if err != nil {
-						t.Fatalf("salvage after %d committed weeks: %v", committed, err)
-					}
-					if committed > 0 && !res.FromCheckpoint {
-						t.Errorf("checkpoint present but salvage ignored it: %+v", res)
-					}
-					checkSalvagedState(t, dir, weeks, segments, committed)
-				})
-			}
+	for _, shortWrite := range []bool{false, true} {
+		name := "enospc"
+		if shortWrite {
+			name = "short-write"
+		}
+		for _, frac := range []int{5, 25, 45, 65, 85, 99} {
+			budget := total * frac / 100
+			t.Run("v3/"+name+"/"+itoa(frac)+"pct", func(t *testing.T) {
+				fsys := &faultFS{budget: budget, shortWrite: shortWrite}
+				dir := filepath.Join(t.TempDir(), "store")
+				// committed may reach 6 when the fault lands past the last
+				// CommitWeek (e.g. inside the manifest write): all weeks are
+				// then committed and salvage must restore the full archive.
+				committed := runCheckpointedWrite(t, dir, fsys, weeks, segments, run)
+				if !fsys.faulted {
+					t.Fatalf("budget %d of %d bytes did not fault", budget, total)
+				}
+				res, err := Salvage(dir)
+				if err != nil {
+					t.Fatalf("salvage after %d committed weeks: %v", committed, err)
+				}
+				if committed > 0 && !res.FromCheckpoint {
+					t.Errorf("checkpoint present but salvage ignored it: %+v", res)
+				}
+				checkSalvagedState(t, dir, weeks, segments, committed)
+			})
 		}
 	}
 }

@@ -124,8 +124,8 @@ func AtomicWriteFile(fsys FS, path string, data []byte) error {
 	return atomicWriteFile(realFS(fsys), path, data)
 }
 
-// FNV-1a parameters — the checksum family of the v2 record frames, the v3
-// member table, and the ShardOf partition function.
+// FNV-1a parameters — the checksum family of the member table and the
+// ShardOf partition function.
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
@@ -139,10 +139,4 @@ func fnv1aUpdate(h uint32, b []byte) uint32 {
 		h *= fnvPrime32
 	}
 	return h
-}
-
-// fnv1aSum is FNV-1a over a byte slice — the record-frame checksum, the
-// same hash family ShardOf partitions by.
-func fnv1aSum(b []byte) uint32 {
-	return fnv1aUpdate(fnvOffset32, b)
 }

@@ -109,8 +109,8 @@ func VerifyMemberTable(path string, members []Member) error {
 
 // sniffFormat reports the record format of a segment file by its first
 // decompressed byte, mirroring decodeStream's dispatch: FormatPlain,
-// FormatFramed, FormatDelta, or FormatBundle. An empty stream (a store
-// that committed zero records) reports 0.
+// FormatDelta, or FormatBundle; a retired v2 stream is an errRetired
+// error. An empty stream (a store that committed zero records) reports 0.
 func sniffFormat(path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -130,8 +130,8 @@ func sniffFormat(path string) (int, error) {
 		return 0, fmt.Errorf("store: %s: %w", path, err)
 	}
 	switch first[0] {
-	case frameMark:
-		return FormatFramed, nil
+	case v2Mark:
+		return 0, fmt.Errorf("store: %s: %w", path, errRetired)
 	case fullMark, sameMark, deltaMark:
 		return FormatDelta, nil
 	case BundleMark:

@@ -8,10 +8,11 @@
 // salvaged checkpointed store contains precisely the committed weeks —
 // never less (losing committed weeks is an error, not a repair). With
 // neither authority — a legacy store torn mid-write — salvage falls back
-// to scanning: each segment keeps its longest decodable, checksum-valid
-// record prefix (rewritten through a temp file and renamed into place),
-// and the rebuilt manifest is marked salvaged so downstream tooling knows
-// the archive is a recovered prefix, not a complete run.
+// to scanning: each segment keeps its longest decodable record prefix
+// (rewritten through a temp file and renamed into place), and the rebuilt
+// manifest is marked salvaged so downstream tooling knows the archive is
+// a recovered prefix, not a complete run. A store with any part in the
+// retired v2 format is refused before any of this, its bytes untouched.
 
 package store
 
@@ -31,8 +32,8 @@ type SegmentInfo struct {
 	Path      string
 	SizeBytes int64
 	// Format is the record format sniffed from the segment's first
-	// decompressed byte (FormatPlain/Framed/Delta; 0 for an empty or
-	// unreadable stream).
+	// decompressed byte (FormatPlain/Delta/Bundle; 0 for an empty,
+	// unreadable or retired-v2 stream).
 	Format int
 	// Members counts the segment's complete gzip members — the committed
 	// durability units of a multi-member segment.
@@ -40,7 +41,7 @@ type SegmentInfo struct {
 	// Records counts the decodable, checksum-valid record prefix.
 	Records int
 	// Truncated marks a segment whose scan stopped at a decode error
-	// (torn gzip member, bad frame, checksum mismatch); Err carries it.
+	// (torn gzip member, malformed record, retired format); Err carries it.
 	Truncated bool
 	Err       string
 }
@@ -215,6 +216,9 @@ func Salvage(dir string) (SalvageResult, error) {
 }
 
 func salvageOn(fsys FS, dir string) (SalvageResult, error) {
+	if err := refuseRetired(dir); err != nil {
+		return SalvageResult{}, err
+	}
 	if _, err := Verify(dir); err == nil {
 		man, _ := ReadManifest(dir)
 		return SalvageResult{Segments: man.Segments, Counts: man.Counts,
@@ -230,6 +234,28 @@ func salvageOn(fsys FS, dir string) (SalvageResult, error) {
 		// recovers the data.
 	}
 	return salvageByScan(fsys, dir)
+}
+
+// refuseRetired fails on a store any part of which — manifest, journal,
+// or a segment's first record — is in the retired v2 format. Without it a
+// v2 journal would fail to read and send salvage to its scan, which would
+// decode a '#'-led segment as zero records and rename an empty v3 segment
+// over the data.
+func refuseRetired(dir string) error {
+	_, merr := ReadManifest(dir)
+	_, cerr := ReadCheckpoint(dir)
+	for _, err := range []error{merr, cerr} {
+		if errors.Is(err, errRetired) {
+			return err
+		}
+	}
+	paths, _ := segmentFiles(dir)
+	for _, path := range paths {
+		if _, err := sniffFormat(path); errors.Is(err, errRetired) {
+			return err
+		}
+	}
+	return nil
 }
 
 // salvageFromCheckpoint truncates every segment to its committed offset
@@ -293,11 +319,10 @@ var errSalvageWrite = errors.New("store: salvage rewrite failed")
 
 // salvageByScan rewrites each segment to its longest valid record prefix.
 // For observation stores the rewrite always targets the current delta
-// format, whatever version the torn segment was — salvage of a v1 or v2
-// store upgrades it to v3, complete with a member table in the rebuilt
-// manifest. A bundle archive (any segment sniffing v4) is rewritten in its
-// own raw format instead: bundle records are opaque here and must survive
-// byte-for-byte.
+// format — salvage of a torn v1 store upgrades it to v3, complete with a
+// member table in the rebuilt manifest. A bundle archive (any segment
+// sniffing v4) is rewritten in its own raw format instead: bundle records
+// are opaque here and must survive byte-for-byte.
 func salvageByScan(fsys FS, dir string) (SalvageResult, error) {
 	paths, err := segmentFiles(dir)
 	if err != nil {
@@ -339,14 +364,14 @@ func salvageByScan(fsys FS, dir string) (SalvageResult, error) {
 		}
 		if scanErr != nil {
 			if errors.Is(scanErr, errSalvageWrite) {
-				_ = nw.abort()
+				_ = nw.Abort()
 				_ = fsys.Remove(tmp)
 				return res, scanErr
 			}
 			res.TornSegments++ // decode stopped at the torn tail; amputated
 		}
 		if _, err := nw.commit(); err != nil {
-			_ = nw.abort()
+			_ = nw.Abort()
 			_ = fsys.Remove(tmp)
 			return res, fmt.Errorf("store: %s: %w", tmp, err)
 		}

@@ -118,7 +118,7 @@ func TestSalvageScanRebuildsTornStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !man.Salvaged || man.Version != ManifestVersionDelta {
+	if !man.Salvaged || man.Version != FormatDelta {
 		t.Fatalf("salvaged manifest: %+v", man)
 	}
 	if _, err := Verify(dir); err != nil {
@@ -270,36 +270,20 @@ func TestParallelReaderTruncatedSegment(t *testing.T) {
 	}
 }
 
-// writeV1Store builds a pre-framing (manifest version 1) segmented store
-// the way the old writer did: plain gzip JSONL segments, no frames, no
-// checkpoint.
+// writeV1Store builds a manifest-version-1 segmented store: plain gzip
+// JSONL segments (writeV1File), no checkpoint.
 func writeV1Store(t *testing.T, dir string, obs []Observation, segments int) {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	writers := make([]*Writer, segments)
+	perSeg := splitBySegment(obs, segments)
 	counts := make([]int, segments)
-	for i := range writers {
-		w, err := createFile(osFS{}, SegmentPath(dir, i), FormatPlain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		writers[i] = w
+	for i, seg := range perSeg {
+		writeV1File(t, SegmentPath(dir, i), seg)
+		counts[i] = len(seg)
 	}
-	for _, o := range obs {
-		s := ShardOf(o.Domain, segments)
-		if err := writers[s].Write(o); err != nil {
-			t.Fatal(err)
-		}
-		counts[s]++
-	}
-	for _, w := range writers {
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	man := Manifest{Version: ManifestVersionPlain, Segments: segments,
+	man := Manifest{Version: FormatPlain, Segments: segments,
 		Partition: PartitionFNV1aDomain, Counts: counts, Total: len(obs)}
 	data, err := json.Marshal(man)
 	if err != nil {
@@ -310,9 +294,9 @@ func writeV1Store(t *testing.T, dir string, obs []Observation, segments int) {
 	}
 }
 
-// TestV1StoreBackCompat: version-1 stores written before framing must keep
-// reading byte-identically through every entry point, pass Verify, and be
-// salvageable (the salvage rewrite upgrades them to framed v2).
+// TestV1StoreBackCompat: version-1 stores must keep reading
+// byte-identically through every entry point, pass Verify, and be
+// salvageable (the salvage rewrite upgrades them to v3).
 func TestV1StoreBackCompat(t *testing.T) {
 	const segments = 3
 	obs := genObs(18, 4)
@@ -324,7 +308,7 @@ func TestV1StoreBackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Version != ManifestVersionPlain {
+	if man.Version != FormatPlain {
 		t.Fatalf("manifest version = %d, want 1", man.Version)
 	}
 	var got []Observation
@@ -344,7 +328,7 @@ func TestV1StoreBackCompat(t *testing.T) {
 
 	// Torn v1 store: truncate a segment, drop the manifest — the pre-
 	// checkpoint crash shape. Salvage must recover the prefix and rewrite
-	// the store as framed v2.
+	// the store as v3.
 	torn := filepath.Join(t.TempDir(), "v1-torn")
 	writeV1Store(t, torn, obs, segments)
 	if err := os.Remove(filepath.Join(torn, ManifestName)); err != nil {
@@ -368,7 +352,7 @@ func TestV1StoreBackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !man2.Salvaged || man2.Version != ManifestVersionDelta {
+	if !man2.Salvaged || man2.Version != FormatDelta {
 		t.Fatalf("salvaged v1 manifest: %+v", man2)
 	}
 	if _, err := Verify(torn); err != nil {

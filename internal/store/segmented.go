@@ -30,24 +30,14 @@ const ManifestName = "manifest.json"
 // uses; readers refuse manifests declaring anything else.
 const PartitionFNV1aDomain = "fnv1a-domain"
 
-// Manifest versions — numerically identical to the record format
-// constants (FormatPlain/Framed/Delta). Version 1 segments are plain gzip
-// JSONL; version 2 segments frame every record with a length + FNV-1a
-// checksum header (see Writer) and may span multiple gzip members (one
-// per committed week); version 3 segments delta-encode per-domain streams
-// and carry whole-member checksums in the manifest's member table; version
-// 4 segments hold raw '!'-marked bundle record lines (wexbundle owns the
-// payload) with the same member table. Readers sniff the encoding per
-// stream, so all observation versions read through the same entry points.
-const (
-	ManifestVersionPlain  = FormatPlain
-	ManifestVersionFramed = FormatFramed
-	ManifestVersionDelta  = FormatDelta
-	ManifestVersionBundle = FormatBundle
-)
-
 // Manifest describes a segmented store directory.
 type Manifest struct {
+	// Version is the record format of every segment (FormatPlain,
+	// FormatDelta or FormatBundle). Version 1 segments are plain gzip
+	// JSONL; version 3 segments delta-encode per-domain streams and carry
+	// whole-member checksums in Members; version 4 segments hold raw
+	// '!'-marked bundle record lines (wexbundle owns the payload) with the
+	// same member table. Version 2 is retired and refused.
 	Version   int    `json:"version"`
 	Segments  int    `json:"segments"`
 	Partition string `json:"partition"`
@@ -99,8 +89,8 @@ type SegmentedWriter struct {
 	dir  string
 	fsys FS
 	opt  SegmentedOptions
-	// format is the resolved record format of every segment (FormatFramed
-	// or FormatDelta; resumes inherit the checkpoint's format).
+	// format is the resolved record format of every segment (FormatDelta
+	// or FormatBundle; resumes inherit the checkpoint's format).
 	format int
 	segs   []*Writer
 	mus    []sync.Mutex
@@ -121,9 +111,7 @@ type SegmentedOptions struct {
 	// refuses a checkpoint stamped by a different run.
 	Run RunID
 	// Format selects the segment record format: FormatDelta (the default
-	// when zero) or FormatFramed (the v2 layout, kept writable so existing
-	// v2 stores can be resumed and regression-tested). New v1 segmented
-	// stores cannot be written, only read.
+	// when zero) or FormatBundle. v1 stores can only be read.
 	Format int
 	// FS overrides the filesystem the durable write path goes through
 	// (nil = the real one); the fault-injection tests substitute one that
@@ -151,7 +139,7 @@ func CreateSegmentedWith(dir string, n int, opt SegmentedOptions) (*SegmentedWri
 	if format == 0 {
 		format = FormatDelta
 	}
-	if format != FormatFramed && format != FormatDelta && format != FormatBundle {
+	if format != FormatDelta && format != FormatBundle {
 		return nil, fmt.Errorf("store: %s: unsupported segment format %d", dir, format)
 	}
 	fsys := realFS(opt.FS)
@@ -286,18 +274,14 @@ func (w *SegmentedWriter) CommitWeek(week int) error {
 		Segments:       len(w.segs),
 		Offsets:        make([]int64, len(w.segs)),
 		Counts:         make([]int, len(w.segs)),
+		Members:        make([][]Member, len(w.segs)),
 		Run:            w.opt.Run,
-	}
-	if formatHasMembers(w.format) {
-		ck.Members = make([][]Member, len(w.segs))
 	}
 	for i, seg := range w.segs {
 		w.mus[i].Lock()
 		off, err := seg.commit()
 		count := seg.Count()
-		if ck.Members != nil {
-			ck.Members[i] = append([]Member(nil), seg.members...)
-		}
+		ck.Members[i] = append([]Member(nil), seg.members...)
 		w.mus[i].Unlock()
 		if err != nil {
 			return fmt.Errorf("store: %s: %w", SegmentPath(w.dir, i), err)
@@ -329,9 +313,7 @@ func (w *SegmentedWriter) Close() error {
 		Segments:  len(w.segs),
 		Partition: PartitionFNV1aDomain,
 		Counts:    make([]int, len(w.segs)),
-	}
-	if formatHasMembers(w.format) {
-		man.Members = make([][]Member, len(w.segs))
+		Members:   make([][]Member, len(w.segs)),
 	}
 	for i, seg := range w.segs {
 		man.Counts[i] = seg.Count()
@@ -339,9 +321,7 @@ func (w *SegmentedWriter) Close() error {
 		if _, err := seg.commit(); err != nil && first == nil {
 			first = err
 		}
-		if man.Members != nil {
-			man.Members[i] = append([]Member(nil), seg.members...)
-		}
+		man.Members[i] = append([]Member(nil), seg.members...)
 		if err := seg.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -362,7 +342,7 @@ func (w *SegmentedWriter) Close() error {
 func (w *SegmentedWriter) Abort() error {
 	var first error
 	for _, seg := range w.segs {
-		if err := seg.abort(); err != nil && first == nil {
+		if err := seg.Abort(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -439,7 +419,7 @@ func ResumeSegmented(dir string, opt SegmentedOptions) (*SegmentedWriter, Checkp
 		seg, err := resumeFile(fsys, SegmentPath(dir, i), ck.Offsets[i], ck.Counts[i], ck.Format, members)
 		if err != nil {
 			for j := 0; j < i; j++ {
-				_ = w.segs[j].abort()
+				_ = w.segs[j].Abort()
 			}
 			return nil, Checkpoint{}, err
 		}
@@ -469,8 +449,10 @@ func ReadManifest(dir string) (Manifest, error) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		return Manifest{}, fmt.Errorf("store: %s: corrupt manifest: %w", dir, err)
 	}
-	if man.Version != ManifestVersionPlain && man.Version != ManifestVersionFramed &&
-		man.Version != ManifestVersionDelta && man.Version != ManifestVersionBundle {
+	if man.Version == retiredV2 {
+		return Manifest{}, fmt.Errorf("store: %s: manifest version 2: %w", dir, errRetired)
+	}
+	if man.Version != FormatPlain && man.Version != FormatDelta && man.Version != FormatBundle {
 		return Manifest{}, fmt.Errorf("store: %s: manifest version %d not supported", dir, man.Version)
 	}
 	if man.Segments < 1 || man.Segments != len(man.Counts) {

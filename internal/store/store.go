@@ -9,7 +9,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -92,18 +91,26 @@ func (o Observation) Lib(slug string) (LibRecord, bool) {
 }
 
 // Sink is the write side shared by the single-file and segmented stores.
+// Close seals the store; Abort is the deliberate crash a failed run takes
+// instead, leaving a store that no reader mistakes for a complete one.
 type Sink interface {
 	Write(Observation) error
 	Count() int
 	Close() error
+	Abort() error
 }
 
 // Record formats. The numbers double as manifest versions: a segmented
 // store's manifest.Version is the format its segments are encoded in.
+// Each payload has one writable format — v3 for observations, v4 for
+// bundles; v1 is read-only and v2 is retired.
 //
 //	FormatPlain  (v1): plain gzip JSON lines, one observation per line.
-//	FormatFramed (v2): every record preceded by a "#<len> <fnv1a-hex>\n"
-//	                   frame; multi-member gzip, one member per commit.
+//	                   Read-only: stores written before v3 stay readable
+//	                   and salvage rewrites a torn one as v3.
+//	(v2, retired):     every record preceded by a "#<len> <fnv1a-hex>\n"
+//	                   frame. Neither written nor read: every entry point
+//	                   refuses it by name (errRetired).
 //	FormatDelta  (v3): per-domain delta streams ('='/'~'/'^' records, see
 //	                   delta.go) with whole-member FNV-1a checksums kept in
 //	                   the checkpoint/manifest member table (members.go).
@@ -113,15 +120,26 @@ type Sink interface {
 //	                   checksums, and salvage behave exactly as v3.
 //
 // Readers sniff the format from the first decompressed byte of each
-// stream, so all observation versions read through the same entry points;
-// a v4 stream is not an observation store and decodeStream refuses it
-// loudly instead of misparsing it.
+// stream, so v1 and v3 read through the same entry points; a v4 stream is
+// not an observation store and decodeStream refuses it loudly instead of
+// misparsing it.
 const (
 	FormatPlain  = 1
-	FormatFramed = 2
 	FormatDelta  = 3
 	FormatBundle = 4
 )
+
+// retiredV2 is the number the retired framed format used as a manifest
+// version and journal format, and v2Mark the first byte of its streams.
+const (
+	retiredV2 = 2
+	v2Mark    = '#'
+)
+
+// errRetired marks a store, or a part of one, in the retired v2 format.
+// Refusing it by name keeps a v2 stream from being decoded as v1 — which
+// would read zero records — or salvaged into an empty v3 segment.
+var errRetired = errors.New("format v2 (framed records) is retired and no longer read")
 
 // formatHasMembers reports whether a format keeps the member-level
 // checksum table (delta v3 and bundle v4).
@@ -129,41 +147,35 @@ func formatHasMembers(format int) bool {
 	return format == FormatDelta || format == FormatBundle
 }
 
-// Writer streams observations to a gzip JSONL file. It is not safe for
+// Writer streams records to one gzip segment file. It is not safe for
 // concurrent use; callers sharing one Writer must serialize Write.
 //
-// A framed (v2) writer precedes every record with a self-describing frame
-// header — "#<len> <fnv1a-hex>\n" — so readers verify each record's
-// length and checksum before handing it to a callback, and salvage can cut
-// a torn file back to its last valid record. A delta (v3) writer encodes
-// each domain's week N as a diff against its week N-1 and checksums whole
-// compressed members instead of records. In both, the file is a
-// concatenation of gzip members: commit (the week-boundary durability
-// point) finishes the open member and fsyncs, and the next Write starts a
-// fresh member, so a crash never tears a committed member.
+// A delta (v3) writer encodes each domain's week N as a diff against its
+// week N-1; a bundle (v4) writer appends opaque raw lines. Either way the
+// file is a concatenation of gzip members checksummed whole: commit (the
+// week-boundary durability point) finishes the open member and fsyncs,
+// and the next Write starts a fresh member, so a crash never tears a
+// committed member.
 type Writer struct {
 	f   File
 	gz  *gzip.Writer
 	buf *bufio.Writer
 	enc *json.Encoder
 	n   int
-	// format is the record encoding (FormatPlain/Framed/Delta); the zero
-	// value writes plain v1, so a zero-value Writer keeps v1 semantics.
+	// format is the record encoding: FormatDelta or FormatBundle.
 	format int
 	// open tracks whether a gzip member is in progress; commit closes the
 	// member and clears it, the next Write resets gz and sets it.
-	open    bool
-	scratch bytes.Buffer
-	// hdr is the reusable header scratch: the longest v2 frame header —
-	// "#<7 digits> <8 hex>\n" at maxFrameLen — is 18 bytes, and a v3
-	// same-record prefix "~<week digits> " tops out near 21, so building
-	// either here never allocates per record.
+	open bool
+	// hdr is the reusable header scratch: a v3 same-record prefix
+	// "~<week digits> " tops out near 21 bytes, so building it here never
+	// allocates per record.
 	hdr [24]byte
 
-	// Delta (v3) state. mh sits between gz and f accounting the member in
-	// progress; members accumulates the committed member table; lastN is
-	// the record count at the last member boundary; prev is the per-domain
-	// dictionary the delta encoder diffs against.
+	// mh sits between gz and f accounting the member in progress; members
+	// accumulates the committed member table; lastN is the record count at
+	// the last member boundary; prev is the per-domain dictionary the v3
+	// delta encoder diffs against.
 	mh      *memberHasher
 	members []Member
 	lastN   int
@@ -175,18 +187,7 @@ type Writer struct {
 // tables alone are hundreds of KiB) and the 64 KiB scan/flush buffers.
 // All of them support Reset, so recycling is free of correctness risk.
 var (
-	gzwPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-	// Framed (v2) segments compress at BestSpeed: the per-record checksum
-	// frames are incompressible and poison the level-6 match search (+43%
-	// write time measured), while at BestSpeed the whole framed write path
-	// costs less than the unframed level-6 baseline — enabling crash
-	// safety never slows a crawl down. The trade is ~1.6x archive size,
-	// the usual write-ahead-log bargain. gzip.Writer.Reset keeps its
-	// level, so the two pools must never mix.
-	gzwFastPool = sync.Pool{New: func() any {
-		gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-		return gz
-	}}
+	gzwPool  = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 	gzrPool  = sync.Pool{} // holds *gzip.Reader; empty Get means "make one"
 	bufwPool = sync.Pool{New: func() any {
 		return bufio.NewWriterSize(io.Discard, 1<<16)
@@ -209,41 +210,38 @@ func newGzipReader(r io.Reader) (*gzip.Reader, error) {
 }
 
 // Create opens a new observation file, truncating any existing one. The
-// file uses the original unframed v1 encoding — plain gzip JSONL.
+// file is a v3 delta stream — a one-segment store without a manifest.
 func Create(path string) (*Writer, error) {
-	return createFile(osFS{}, path, FormatPlain)
+	return createFile(osFS{}, path, FormatDelta)
 }
 
-// createFile opens a new observation file through fsys in the given
-// record format.
+// createFile opens a new segment file through fsys in the given record
+// format: FormatDelta or FormatBundle, the only two this package writes.
 func createFile(fsys FS, path string, format int) (*Writer, error) {
+	if format != FormatDelta && format != FormatBundle {
+		return nil, fmt.Errorf("store: %s: format v%d is not writable", path, format)
+	}
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	gz := gzwPoolFor(format).Get().(*gzip.Writer)
-	buf := bufwPool.Get().(*bufio.Writer)
-	w := &Writer{f: f, gz: gz, buf: buf, format: format, open: true}
-	switch format {
-	case FormatDelta:
-		w.mh = &memberHasher{}
-		w.mh.Reset(f)
-		gz.Reset(w.mh)
-		w.prev = make(map[string]Observation)
-		w.enc = json.NewEncoder(buf)
-	case FormatBundle:
-		w.mh = &memberHasher{}
-		w.mh.Reset(f)
-		gz.Reset(w.mh)
-	case FormatFramed:
-		gz.Reset(f)
-		w.enc = json.NewEncoder(&w.scratch)
-	default:
-		gz.Reset(f)
-		w.enc = json.NewEncoder(buf)
-	}
-	buf.Reset(gz)
+	w := newWriter(f, format, 0, nil)
+	w.reopenMember()
 	return w, nil
+}
+
+// newWriter assembles a writer over f with its pooled compressor and
+// buffer, n records and the member table already committed.
+func newWriter(f File, format, n int, members []Member) *Writer {
+	w := &Writer{f: f, gz: gzwPool.Get().(*gzip.Writer), buf: bufwPool.Get().(*bufio.Writer),
+		format: format, n: n, lastN: n, mh: &memberHasher{}, members: members}
+	w.buf.Reset(w.gz)
+	w.mh.Reset(f)
+	if format == FormatDelta {
+		w.prev = make(map[string]Observation)
+		w.enc = json.NewEncoder(w.buf)
+	}
+	return w
 }
 
 // resumeFile reopens a segment at a committed byte offset: the torn tail
@@ -272,24 +270,7 @@ func resumeFile(fsys FS, path string, offset int64, count int, format int, membe
 		_ = f.Close()
 		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
-	gz := gzwPoolFor(format).Get().(*gzip.Writer)
-	buf := bufwPool.Get().(*bufio.Writer)
-	buf.Reset(gz)
-	w := &Writer{f: f, gz: gz, buf: buf, format: format, open: false, n: count}
-	switch {
-	case formatHasMembers(format):
-		w.mh = &memberHasher{}
-		w.mh.Reset(f)
-		w.members = append([]Member(nil), members...)
-		w.lastN = count
-		if format == FormatDelta {
-			w.prev = make(map[string]Observation)
-			w.enc = json.NewEncoder(buf)
-		}
-	default:
-		w.enc = json.NewEncoder(&w.scratch)
-	}
-	return w, nil
+	return newWriter(f, format, count, append([]Member(nil), members...)), nil
 }
 
 // Write appends one observation. Failed writes are not counted: Count
@@ -299,17 +280,7 @@ func (w *Writer) Write(obs Observation) error {
 		return fmt.Errorf("store: Write on a bundle-format writer; bundles take WriteRaw")
 	}
 	w.reopenMember()
-	switch w.format {
-	case FormatFramed:
-		return w.writeFramed(obs)
-	case FormatDelta:
-		return w.writeDelta(obs)
-	}
-	if err := w.enc.Encode(obs); err != nil {
-		return err
-	}
-	w.n++
-	return nil
+	return w.writeDelta(obs)
 }
 
 // reopenMember starts a new gzip member at the committed boundary on the
@@ -318,11 +289,7 @@ func (w *Writer) reopenMember() {
 	if w.open || w.gz == nil {
 		return
 	}
-	if formatHasMembers(w.format) {
-		w.gz.Reset(w.mh)
-	} else {
-		w.gz.Reset(w.f)
-	}
+	w.gz.Reset(w.mh)
 	w.open = true
 }
 
@@ -340,31 +307,6 @@ func (w *Writer) WriteRaw(line []byte) error {
 		return err
 	}
 	if err := w.buf.WriteByte('\n'); err != nil {
-		return err
-	}
-	w.n++
-	return nil
-}
-
-// writeFramed appends a v2 record: the observation is encoded to the
-// scratch buffer first so the frame header can carry the record's exact
-// length and FNV-1a checksum.
-func (w *Writer) writeFramed(obs Observation) error {
-	w.scratch.Reset()
-	if err := w.enc.Encode(obs); err != nil {
-		return err
-	}
-	line := w.scratch.Bytes() // JSON payload + trailing '\n'
-	payload := line[:len(line)-1]
-	hdr := append(w.hdr[:0], frameMark)
-	hdr = strconv.AppendInt(hdr, int64(len(payload)), 10)
-	hdr = append(hdr, ' ')
-	hdr = appendHex32(hdr, fnv1aSum(payload))
-	hdr = append(hdr, '\n')
-	if _, err := w.buf.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.buf.Write(line); err != nil {
 		return err
 	}
 	w.n++
@@ -442,10 +384,10 @@ func (w *Writer) commit() (int64, error) {
 	return w.f.Seek(0, io.SeekCurrent)
 }
 
-// finishMember closes the gzip member in progress, if any. For a delta
-// writer this is also the checksum boundary: the member's compressed
-// length, FNV-1a sum, and record count are appended to the member table
-// and the hasher restarts for the next member.
+// finishMember closes the gzip member in progress, if any. This is also
+// the checksum boundary: the member's compressed length, FNV-1a sum, and
+// record count are appended to the member table and the hasher restarts
+// for the next member.
 func (w *Writer) finishMember() error {
 	if !w.open {
 		return nil
@@ -454,11 +396,9 @@ func (w *Writer) finishMember() error {
 		return err
 	}
 	w.open = false
-	if formatHasMembers(w.format) {
-		w.members = append(w.members, Member{Len: w.mh.n, Sum: w.mh.sum, Records: w.n - w.lastN})
-		w.lastN = w.n
-		w.mh.Reset(w.f)
-	}
+	w.members = append(w.members, Member{Len: w.mh.n, Sum: w.mh.sum, Records: w.n - w.lastN})
+	w.lastN = w.n
+	w.mh.Reset(w.f)
 	return nil
 }
 
@@ -489,28 +429,18 @@ func (w *Writer) recycle() {
 		w.buf = nil
 	}
 	if w.gz != nil {
-		gzwPoolFor(w.format).Put(w.gz)
+		gzwPool.Put(w.gz)
 		w.gz = nil
 	}
 }
 
-// gzwPoolFor picks the compressor pool matching a writer's encoding: v2
-// framed writers compress at BestSpeed (their checksum frames poison the
-// level-6 match search), v1 and v3 at the default level — v3's delta
-// streams are pure repetitive text, exactly what level 6 rewards.
-func gzwPoolFor(format int) *sync.Pool {
-	if format == FormatFramed {
-		return &gzwFastPool
-	}
-	return &gzwPool
-}
-
-// abort closes the file without flushing buffered data — the simulated-
-// crash path: whatever the OS already has (everything through the last
-// commit, plus any incidentally flushed tail) stays on disk, everything
-// still buffered in user space is lost, exactly as a SIGKILL would leave
-// it.
-func (w *Writer) abort() error {
+// Abort closes the file without flushing buffered data or finishing the
+// open gzip member — the deliberate-crash path a failed run takes:
+// whatever the OS already has (everything through the last commit, plus
+// any incidentally flushed tail) stays on disk, everything still buffered
+// in user space is lost, exactly as a SIGKILL would leave it. A single
+// file aborted before its first commit therefore never reads as complete.
+func (w *Writer) Abort() error {
 	if w.buf == nil {
 		return nil
 	}
@@ -555,169 +485,11 @@ func forEachFile(path string, fn func(Observation) error) error {
 	return decodeStream(gz, path, fn)
 }
 
-// frameMark is the first byte of a v2 record frame header. JSON records
-// always start with '{', so one peeked byte tells the two encodings apart
-// and v1 (unframed) stores keep reading through the same entry points.
-const frameMark = '#'
-
-// maxFrameLen bounds a frame's declared record length; a corrupt header
-// must not turn into an arbitrary allocation.
-const maxFrameLen = 16 << 20
-
-// appendHex32 appends v as exactly 8 lowercase hex digits.
-func appendHex32(dst []byte, v uint32) []byte {
-	const digits = "0123456789abcdef"
-	for shift := 28; shift >= 0; shift -= 4 {
-		dst = append(dst, digits[(v>>uint(shift))&0xf])
-	}
-	return dst
-}
-
-// parseFrameHeader parses "#<len> <fnv1a-hex>\n" (hdr includes the '\n').
-func parseFrameHeader(hdr []byte) (length int, sum uint32, ok bool) {
-	if len(hdr) < 5 || hdr[0] != frameMark || hdr[len(hdr)-1] != '\n' {
-		return 0, 0, false
-	}
-	i := 1
-	for ; i < len(hdr) && hdr[i] >= '0' && hdr[i] <= '9'; i++ {
-		length = length*10 + int(hdr[i]-'0')
-		if length > maxFrameLen {
-			return 0, 0, false
-		}
-	}
-	if i == 1 || i >= len(hdr) || hdr[i] != ' ' {
-		return 0, 0, false
-	}
-	j := i + 1
-	for ; j < len(hdr)-1; j++ {
-		c := hdr[j]
-		switch {
-		case c >= '0' && c <= '9':
-			sum = sum<<4 | uint32(c-'0')
-		case c >= 'a' && c <= 'f':
-			sum = sum<<4 | uint32(c-'a'+10)
-		default:
-			return 0, 0, false
-		}
-	}
-	if j == i+1 {
-		return 0, 0, false
-	}
-	return length, sum, true
-}
-
-// frameReader strips and verifies record frames from a framed v2 stream,
-// exposing only the verified JSONL payload bytes. No byte of a record is
-// readable until its whole frame — length and FNV-1a checksum — has been
-// verified, so a torn or bit-flipped record surfaces as a corrupt-stream
-// error before any of it escapes to the decoder downstream.
-type frameReader struct {
-	br   *bufio.Reader
-	path string
-	rec  []byte // current verified record (payload + '\n') being drained
-	off  int    // read cursor into rec
-	err  error  // sticky: io.EOF at a clean frame boundary, else corrupt
-}
-
-func (fr *frameReader) Read(p []byte) (int, error) {
-	for fr.off == len(fr.rec) {
-		if fr.err != nil {
-			return 0, fr.err
-		}
-		fr.next()
-	}
-	n := copy(p, fr.rec[fr.off:])
-	fr.off += n
-	return n, nil
-}
-
-// next reads and verifies the next frame into fr.rec, or sets fr.err.
-func (fr *frameReader) next() {
-	corrupt := func(format string, args ...any) {
-		fr.err = fmt.Errorf("store: %s: corrupt stream: "+format, append([]any{fr.path}, args...)...)
-	}
-	hdr, err := fr.br.ReadSlice('\n')
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			if len(hdr) == 0 {
-				fr.err = io.EOF
-				return
-			}
-			corrupt("torn frame header: %w", io.ErrUnexpectedEOF)
-			return
-		}
-		corrupt("%w", err)
-		return
-	}
-	length, sum, ok := parseFrameHeader(hdr)
-	if !ok {
-		corrupt("bad frame header %q", hdr[:len(hdr)-1])
-		return
-	}
-	if cap(fr.rec) < length+1 {
-		fr.rec = make([]byte, length+1)
-	}
-	rec := fr.rec[:length+1]
-	if _, err := io.ReadFull(fr.br, rec); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			corrupt("torn record: %w", io.ErrUnexpectedEOF)
-		} else {
-			corrupt("%w", err)
-		}
-		return
-	}
-	if rec[length] != '\n' {
-		corrupt("frame length mismatch")
-		return
-	}
-	if got := fnv1aSum(rec[:length]); got != sum {
-		corrupt("record checksum mismatch (frame %08x, data %08x)", sum, got)
-		return
-	}
-	fr.rec, fr.off = rec, 0
-}
-
-// decodeFramed decodes a v2 framed stream: every record is verified
-// against its frame's length and FNV-1a checksum before fn sees it, so a
-// torn or bit-flipped record can never leak a partial observation into a
-// callback — the scan stops with a corrupt-stream error instead. The
-// verified payload stream feeds one persistent json.Decoder (rather than
-// a per-record Unmarshal, whose fresh decode/scanner state costs an
-// allocation and ~300 B per record at archive-replay volume). The decoder
-// only ever buffers whole verified records, so a frame error still
-// surfaces after exactly the valid record prefix has been delivered.
-func decodeFramed(br *bufio.Reader, path string, fn func(Observation) error) error {
-	fr := &frameReader{br: br, path: path}
-	dec := json.NewDecoder(fr)
-	var obs Observation
-	for {
-		// Keep the Libs capacity; json.Decode refills it in place. The
-		// reused slots must be zeroed first: decoding merges into existing
-		// elements, so a field omitted by omitempty would otherwise keep
-		// the previous record's value.
-		libs := obs.Libs[:cap(obs.Libs)]
-		clear(libs)
-		obs = Observation{Libs: libs[:0]}
-		if err := dec.Decode(&obs); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			if err == fr.err {
-				return err // already wrapped with the store path by frameReader
-			}
-			return fmt.Errorf("store: %s: corrupt stream: %w", path, err)
-		}
-		if err := fn(obs); err != nil {
-			return err
-		}
-	}
-}
-
 // decodeStream decodes one gzip-decompressed JSONL stream, sniffing the
-// encoding from its first byte: '#' selects the framed v2 decoder (every
-// record checksum-verified), '='/'~'/'^' the delta v3 decoder, anything
-// else the original plain JSONL decoder — so stores written before
-// framing or deltas keep reading byte-identically. Decode-side errors are
+// encoding from its first byte: '='/'~'/'^' select the delta v3 decoder,
+// '#' (retired v2) and '!' (v4 bundles) are refused by name, and anything
+// else takes the original plain JSONL decoder — so stores written before
+// deltas keep reading byte-identically. Decode-side errors are
 // wrapped with the store prefix and path; callback errors are returned
 // as-is. A stream cut mid-observation (truncated gzip footer, severed
 // connection) surfaces as io.ErrUnexpectedEOF inside the wrap, so callers
@@ -731,8 +503,8 @@ func decodeStream(r io.Reader, path string, fn func(Observation) error) error {
 			return nil // empty stream: a store that committed zero records
 		}
 		return fmt.Errorf("store: %s: corrupt stream: %w", path, err)
-	} else if first[0] == frameMark {
-		return decodeFramed(br, path, fn)
+	} else if first[0] == v2Mark {
+		return fmt.Errorf("store: %s: %w", path, errRetired)
 	} else if first[0] == fullMark || first[0] == sameMark || first[0] == deltaMark {
 		return decodeDelta(br, path, fn)
 	} else if first[0] == BundleMark {

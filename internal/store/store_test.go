@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -235,16 +236,24 @@ func TestWriteCountsOnlySuccessfulWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for exactly two encoded lines (json.Encoder appends '\n').
-	fw := &failWriter{failAfter: 2 * (len(line) + 1)}
-	w := &Writer{enc: json.NewEncoder(fw)}
-	for i := 0; i < 2; i++ {
-		if err := w.Write(obs); err != nil {
+	// Room for exactly two full v3 records ('=' + JSON + '\n'). Each write
+	// is a new domain of the same length, so none takes the unchanged-
+	// record fast path, and the small buffer surfaces the failure inside
+	// the third Write.
+	fw := &failWriter{failAfter: 2 * (len(line) + 2)}
+	buf := bufio.NewWriterSize(fw, 16)
+	w := &Writer{format: FormatDelta, buf: buf, enc: json.NewEncoder(buf),
+		prev: make(map[string]Observation), open: true}
+	for i := 0; i < 3; i++ {
+		o := obs
+		o.Domain = string(rune('a'+i)) + obs.Domain[1:]
+		err := w.Write(o)
+		if i < 2 && err != nil {
 			t.Fatalf("write %d should succeed: %v", i, err)
 		}
-	}
-	if err := w.Write(obs); err == nil {
-		t.Fatal("third write must fail")
+		if i == 2 && err == nil {
+			t.Fatal("third write must fail")
+		}
 	}
 	if got := w.Count(); got != 2 {
 		t.Errorf("Count = %d after 2 successful + 1 failed write, want 2", got)

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Store/fingerprint perf ablations: runs BenchmarkStoreReadSegments,
 # BenchmarkStoreDecodeSegment (per-segment replay cost vs segment count),
-# BenchmarkStoreWrite (the framing + per-week fsync durability tax and the
-# v3 delta size win), and BenchmarkFingerprintMemo with -benchmem and
-# appends one JSON line per benchmark result to BENCH_store.json, so perf
-# PRs accumulate a machine-readable before/after record. Each line carries
+# BenchmarkStoreWrite (the per-week fsync durability tax and archive size
+# of the v3 single file and segmented store — the only observation format
+# written; earlier v1/v2 lines in BENCH_store.json are history), and
+# BenchmarkFingerprintMemo with -benchmem and appends one JSON line per
+# benchmark result to BENCH_store.json, so perf PRs accumulate a
+# machine-readable before/after record. Each line carries
 # goos/goarch/numcpu so results from different hosts stay comparable.
 # Override the measurement budget with BENCHTIME (default 1x, the smoke
 # setting scripts/check.sh uses).

@@ -261,21 +261,25 @@ grep -c 'lease granted' "$tmp/coord.log" | {
 cmp "$tmp/dist-ref.report" "$tmp/dist.report" || {
 	echo "distributed merged report differs from the serial reference"; exit 1; }
 
-# Cross-version smoke: the same synthetic population written as a v1
-# single-file archive and as a v3 delta segmented store must verify under
-# fsck (which must report the delta format) and replay to byte-identical
-# reports — the on-disk format is an implementation detail the analyses
-# never see.
-echo "==> cross-version smoke (v1 file vs v3 store, fsck + diff reports)"
+# Layout smoke: the same synthetic population written as a single-file
+# archive and as a 2-segment store must both be v3 (fsck reports the
+# format), verify, and replay to byte-identical reports — the on-disk
+# layout is an implementation detail the analyses never see.
+echo "==> layout smoke (single file vs segmented store, fsck + diff reports)"
 go build -o "$tmp/gendata" ./cmd/gendata
-"$tmp/gendata" -domains 60 -weeks 8 -seed 7 -quiet -out "$tmp/xver-v1.jsonl.gz" >/dev/null
-"$tmp/gendata" -domains 60 -weeks 8 -seed 7 -quiet -segments 2 -out "$tmp/xver.store" >/dev/null
-"$tmp/fsck" -store "$tmp/xver.store"
-"$tmp/fsck" -store "$tmp/xver.store" -stats | grep -q 'format v3'
-"$tmp/analyze" -in "$tmp/xver-v1.jsonl.gz" -weeks 8 -domains 60 >"$tmp/xver-v1.report"
-"$tmp/analyze" -in "$tmp/xver.store" -weeks 8 -domains 60 >"$tmp/xver-v3.report"
-cmp "$tmp/xver-v1.report" "$tmp/xver-v3.report" || {
-	echo "v3 store replay differs from the v1 file of the same run"; exit 1; }
+"$tmp/gendata" -domains 60 -weeks 8 -seed 7 -quiet -out "$tmp/layout.jsonl.gz" >/dev/null
+"$tmp/gendata" -domains 60 -weeks 8 -seed 7 -quiet -segments 2 -out "$tmp/layout.store" >/dev/null
+"$tmp/fsck" -store "$tmp/layout.store"
+"$tmp/fsck" -store "$tmp/layout.store" -stats | grep -q 'format v3'
+# A single file is a one-segment store: fsck reads it through a directory
+# holding it as segment 0.
+mkdir "$tmp/layout-file.store"
+cp "$tmp/layout.jsonl.gz" "$tmp/layout-file.store/seg-0000.jsonl.gz"
+"$tmp/fsck" -store "$tmp/layout-file.store" -stats | grep -q 'seg 0000: format v3'
+"$tmp/analyze" -in "$tmp/layout.jsonl.gz" -weeks 8 -domains 60 >"$tmp/layout-file.report"
+"$tmp/analyze" -in "$tmp/layout.store" -weeks 8 -domains 60 >"$tmp/layout-store.report"
+cmp "$tmp/layout-file.report" "$tmp/layout-store.report" || {
+	echo "segmented store replay differs from the single file of the same run"; exit 1; }
 
 # Serve smoke: start the audit service on an ephemeral port, hit /healthz
 # and run one audit, then prove SIGTERM performs a clean graceful stop.

@@ -15,3 +15,4 @@ fuzz FuzzParseVersion ./internal/semver
 fuzz FuzzRange ./internal/semver
 fuzz FuzzAuditHandler ./internal/service
 fuzz FuzzSignatureScan ./internal/fingerprint
+fuzz FuzzStoreDecode ./internal/store
